@@ -265,6 +265,15 @@ def _read_blob(path: str, expected_bytes: int, shape: tuple, name: str) -> np.nd
     return arr
 
 
+def _json_size(value, what: str) -> int:
+    """A JSON integer >= 0 (a size or an index); anything else is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{what}: expected an integer, got {value!r}")
+    if value < 0:
+        raise DataError(f"{what}: must be >= 0, got {value}")
+    return value
+
+
 def read_dataset(path: str) -> DatasetContainer:
     """Load a dataset directory, validating sizes before touching array data."""
     manifest = _load_json(os.path.join(path, "manifest.json"))
@@ -274,9 +283,14 @@ def read_dataset(path: str) -> DatasetContainer:
     if manifest.get("byte_order") != "little":
         raise DataError(f"unsupported byte order {manifest.get('byte_order')!r}")
     try:
-        s, c, n, t = (int(manifest[k]) for k in ("S", "c", "n", "T"))
+        s, c, n, t = (_json_size(manifest[k], f"manifest.json: {k}") for k in ("S", "c", "n", "T"))
     except KeyError as e:
         raise DataError(f"manifest missing field {e}")
+    splits = _load_json(os.path.join(path, "splits.json"))
+    train_ids, test_ids = (
+        [_json_size(i, f"splits.json: {name} id") for i in splits.get(name, [])]
+        for name in ("train", "test")
+    )
 
     images = _read_blob(
         os.path.join(path, "images.bin"), images_nbytes(s, c), (s, c, IMAGE_SIZE, IMAGE_SIZE),
@@ -286,12 +300,9 @@ def read_dataset(path: str) -> DatasetContainer:
         os.path.join(path, "responses.bin"), responses_nbytes(s, t, n), (s, t, n),
         "responses.bin",
     )
-    splits = _load_json(os.path.join(path, "splits.json"))
-    train_ids = [int(i) for i in splits.get("train", [])]
-    test_ids = [int(i) for i in splits.get("test", [])]
     if set(train_ids) & set(test_ids):
         raise DataError("splits.json: train and test overlap")
-    if any(i < 0 or i >= s for i in train_ids + test_ids):
+    if any(i >= s for i in train_ids + test_ids):
         raise DataError(f"splits.json: index out of range for S={s}")
 
     stats = _load_json(os.path.join(path, "stats.json"))

@@ -133,7 +133,8 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                # order="K" keeps a channels-innermost gradient in its layout
+                node.grad = g.copy(order="K") if node.grad is None else node.grad + g
             if node._vjp is None:
                 continue
             needs = tuple(p.requires_grad for p in node._parents)
@@ -456,30 +457,53 @@ def clip_unit(a: Tensor):
 # -- convolution --------------------------------------------------------------
 
 
-def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - k) // stride + 1
+# Channels stay innermost: every kernel works on the NHWC view of its (B, C,
+# H, W) operand, and the arrays it returns are (B, C, H, W) views of NHWC
+# memory, so a tower passes activations layer to layer without a relayout.
+
+
+def _nhwc_rows(a: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) -> (B*H*W, C); free when ``a`` is a view of NHWC memory."""
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
+def _gemm_weight(w: np.ndarray) -> np.ndarray:
+    """(Co, Ci, k, k) -> (Co, k*k*Ci), the tap-major order of _im2col's columns."""
+    co, ci, k, _ = w.shape
+    return w.transpose(0, 2, 3, 1).reshape(co, k * k * ci)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Extract sliding windows: (B, C, H, W) -> (B, Ho, Wo, C, k, k), contiguous."""
+    """Extract sliding windows: (B, C, H, W) -> (B, Ho, Wo, k, k, C), contiguous."""
+    x = x.transpose(0, 2, 3, 1)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add windows back onto the input grid."""
+    """Adjoint of _im2col: add windows (B, Ho, Wo, k, k, C) back onto (B, C, H, W).
+
+    Tap ``q*stride + r`` of window ``i`` lands on padded row ``(i + q)*stride + r``,
+    so the taps of one phase ``q`` cover a block of ``stride`` rows (and columns)
+    and add as one contiguous run. Rows that no window covers stay zero.
+    """
     b, c, h, w = x_shape
     ho, wo = cols.shape[1], cols.shape[2]
-    out = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    per_tap = cols.transpose(0, 3, 1, 2, 4, 5)  # (B, C, Ho, Wo, k, k)
-    for ki in range(k):
-        for kj in range(k):
-            out[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += per_tap[:, :, :, :, ki, kj]
-    if padding:
-        out = out[:, :, padding:-padding, padding:-padding]
-    return out
+    hq = -(-(h + 2 * padding) // stride)
+    wq = -(-(w + 2 * padding) // stride)
+    out = np.zeros((b, hq, stride, wq, stride, c), dtype=cols.dtype)
+    for qi in range(0, k, stride):
+        ri = min(stride, k - qi)
+        for qj in range(0, k, stride):
+            rj = min(stride, k - qj)
+            i0, j0 = qi // stride, qj // stride
+            out[:, i0:i0 + ho, :ri, j0:j0 + wo, :rj] += (
+                cols[:, :, :, qi:qi + ri, qj:qj + rj].transpose(0, 1, 3, 2, 4, 5)
+            )
+    out = out.reshape(b, hq * stride, wq * stride, c)[:, padding:padding + h, padding:padding + w]
+    return out.transpose(0, 3, 1, 2)
 
 
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
@@ -487,22 +511,20 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
     co, ci, k, _ = w.shape
     cols = _im2col(x, k, stride, padding)
     ho, wo = cols.shape[1], cols.shape[2]
-    out2d = cols.reshape(b * ho * wo, ci * k * k) @ w.reshape(co, ci * k * k).T
+    out2d = cols.reshape(b * ho * wo, k * k * ci) @ _gemm_weight(w).T
     return out2d.reshape(b, ho, wo, co).transpose(0, 3, 1, 2), cols
 
 
 def _corr_grad_w(cols: np.ndarray, gout: np.ndarray, w_shape: tuple) -> np.ndarray:
     co, ci, k, _ = w_shape
-    b, ho, wo = cols.shape[0], cols.shape[1], cols.shape[2]
-    g2d = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(b * ho * wo, co)
-    return (g2d.T @ cols.reshape(b * ho * wo, ci * k * k)).reshape(w_shape)
+    gw = _nhwc_rows(gout).T @ cols.reshape(-1, k * k * ci)
+    return np.ascontiguousarray(gw.reshape(co, k, k, ci).transpose(0, 3, 1, 2))
 
 
 def _corr_grad_x(gout: np.ndarray, w: np.ndarray, stride: int, padding: int, x_shape: tuple) -> np.ndarray:
     b, _, ho, wo = gout.shape
     co, ci, k, _ = w.shape
-    g2d = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(b * ho * wo, co)
-    gcols = (g2d @ w.reshape(co, ci * k * k)).reshape(b, ho, wo, ci, k, k)
+    gcols = (_nhwc_rows(gout) @ _gemm_weight(w)).reshape(b, ho, wo, k, k, ci)
     return _col2im(gcols, x_shape, k, stride, padding)
 
 
@@ -569,14 +591,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, p
     out_data += bias.data.reshape(1, co, 1, 1)
 
     def vjp(g, needs):
-        gx = _corr_forward(g, weight.data, stride, padding)[0] if needs[0] else None
-        if needs[1]:
-            gcols = _im2col(g, k, stride, padding)
-            gw = _corr_grad_w(gcols, x.data, weight.shape)
-        else:
-            gw = None
+        gx = gw = None
+        if needs[0] or needs[1]:
+            gx, gcols = _corr_forward(g, weight.data, stride, padding)
+            gw = _corr_grad_w(gcols, x.data, weight.shape) if needs[1] else None
         gb = g.sum(axis=(0, 2, 3)) if needs[2] else None
-        return (gx, gw, gb)
+        return (gx if needs[0] else None, gw, gb)
 
     return _result(out_data, (x, weight, bias), vjp)
 
@@ -620,15 +640,17 @@ def batch_norm(
             raise ValueError(
                 f"batch_norm: train mode requires batch dimension >= 2, got {x.shape[0]}"
             )
+        count = x.data.size // nch
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        centered = x.data - mean.reshape(view)
+        # the same sum of squares, in the same order, as np.var
+        var = (centered * centered).sum(axis=axes) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean.reshape(view)) * inv_std.reshape(view)
-        count = x.data.size // nch
+        xhat = centered * inv_std.reshape(view)
 
         def vjp(g, needs):
             gg = (g * xhat).sum(axis=axes) if (needs[1] or needs[0]) else None

@@ -271,6 +271,8 @@ def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResu
         raise DataError(f"missing checkpoint file: {path}")
     if raw[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 16:
+        raise DataError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     try:
         meta = json.loads(raw[16 : 16 + meta_len])
@@ -280,6 +282,9 @@ def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResu
         raise DataError(
             f"{path}: unsupported checkpoint version {meta.get('schema_version')!r}"
         )
+    missing = [k for k in ("method", "config", "arrays", "adam", "history") if k not in meta]
+    if missing:
+        raise DataError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
     method = meta["method"]
     if expect_method is not None and method != expect_method:
         raise DataError(f"{path}: checkpoint method is {method!r}, expected {expect_method!r}")

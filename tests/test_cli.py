@@ -7,6 +7,7 @@ promises determinism.
 
 import json
 import os
+import struct
 from importlib import resources
 
 import jsonschema
@@ -14,7 +15,7 @@ import pytest
 
 from crossalign.cli import main
 from crossalign.errors import NumericError
-from crossalign.trainer import load_checkpoint
+from crossalign.trainer import CHECKPOINT_MAGIC, load_checkpoint
 
 S, N, T = 20, 8, 2  # 4 test stimuli after the 0.2 split
 
@@ -109,6 +110,47 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, data_dir, capsys):
     bad.write_bytes(b"not a checkpoint at all")
     args = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--K", "4"]
     assert main(args) == 2
+
+
+def test_checkpoint_shorter_than_its_header_is_data_error(tmp_path, data_dir, capsys):
+    bad = tmp_path / "short.ckpt"
+    bad.write_bytes(CHECKPOINT_MAGIC + b"\x01")
+    args = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--K", "4"]
+    assert main(args) == 2
+    assert "truncated checkpoint header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["method", "config", "arrays", "adam", "history"])
+def test_checkpoint_header_without_a_section_is_data_error(tmp_path, ckpt, data_dir, key, capsys):
+    raw = ckpt.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + meta_len])
+    del meta[key]
+    blob = json.dumps(meta).encode()
+    bad = tmp_path / "partial.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + meta_len:])
+    args = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--K", "4"]
+    assert main(args) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file, edit", [
+    ("manifest.json", lambda m: m.update(S="abc")),
+    ("manifest.json", lambda m: m.update(S=-5)),
+    ("manifest.json", lambda m: m.update(T=1.5)),
+    ("splits.json", lambda s: s["test"].append("x")),
+], ids=["S-not-an-integer", "S-negative", "T-fractional", "split-id-not-an-integer"])
+def test_malformed_dataset_json_is_data_error(tmp_path, data_dir, file, edit, capsys):
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for name in os.listdir(data_dir):
+        (copy / name).write_bytes((data_dir / name).read_bytes())
+    doc = json.loads((copy / file).read_text())
+    edit(doc)
+    (copy / file).write_text(json.dumps(doc))
+    assert main(["eval", "--oracle", "--data", str(copy), "--K", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "expected an integer" in err or "must be >= 0" in err
 
 
 def test_numeric_failure_is_exit_3(tmp_path, data_dir, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from crossalign import tensor as T
 from crossalign.tensor import Tensor
 
+import conv_reference as ref
 from gradcheck import check_grads, resample_away_from_kinks
 
 
@@ -111,6 +112,64 @@ class TestConvTranspose2d:
         np.testing.assert_allclose((cx * y).sum(), (x * cty.data).sum(), rtol=1e-12)
 
 
+def _forward_and_grads(op, x, w, b, gout=None):
+    """Run ``op`` and backpropagate ``gout`` (default ones); returns output and the 3 grads."""
+    xt, wt, bt = (Tensor(a, requires_grad=True, dtype=a.dtype) for a in (x, w, b))
+    out = op(xt, wt, bt)
+    T.tsum(out if gout is None else out * Tensor(gout, dtype=gout.dtype)).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+class TestConvKernels:
+    """The channels-innermost kernels against the NCHW reference in conv_reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        k=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        ci=st.integers(1, 3),
+        co=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference(self, h, w, k, stride, padding, ci, co, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, ci, h, w))
+        close = dict(rtol=1e-12, atol=1e-12)
+        if h + 2 * padding >= k and w + 2 * padding >= k:
+            wt = rng.standard_normal((co, ci, k, k))
+            expect = ref.corr_forward(x, wt, stride, padding)
+            gout = rng.standard_normal(expect.shape)
+            out, gx, gw, _ = _forward_and_grads(
+                lambda a, b, c: T.conv2d(a, b, c, stride, padding), x, wt, np.zeros(co), gout
+            )
+            np.testing.assert_allclose(out, expect, **close)
+            np.testing.assert_allclose(gx, ref.corr_grad_x(gout, wt, stride, padding, x.shape), **close)
+            np.testing.assert_allclose(gw, ref.corr_grad_w(x, gout, wt.shape, stride, padding), **close)
+        ho = (h - 1) * stride - 2 * padding + k
+        wo = (w - 1) * stride - 2 * padding + k
+        if ho >= 1 and wo >= 1:
+            wt = rng.standard_normal((ci, co, k, k))
+            gout = rng.standard_normal((2, co, ho, wo))
+            out, gx, gw, _ = _forward_and_grads(
+                lambda a, b, c: T.conv_transpose2d(a, b, c, stride, padding), x, wt, np.zeros(co), gout
+            )
+            np.testing.assert_allclose(out, ref.corr_grad_x(x, wt, stride, padding, out.shape), **close)
+            np.testing.assert_allclose(gx, ref.corr_forward(gout, wt, stride, padding), **close)
+            np.testing.assert_allclose(gw, ref.corr_grad_w(gout, x, wt.shape, stride, padding), **close)
+
+    @pytest.mark.parametrize("op, w_shape", [(T.conv2d, (3, 2, 4, 4)), (T.conv_transpose2d, (2, 3, 4, 4))])
+    def test_float32_stays_float32(self, op, w_shape):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        out, gx, gw, gb = _forward_and_grads(lambda a, c, d: op(a, c, d, 2, 1), x, w, b)
+        assert [a.dtype for a in (out, gx, gw, gb)] == [np.dtype(np.float32)] * 4
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -164,6 +223,17 @@ class TestBatchNorm:
                 Tensor(np.zeros((1, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                 np.zeros(3), np.ones(3), training=True,
             )
+
+    def test_train_variance_is_np_var_bit_for_bit(self):
+        # conv2d returns (B, C, H, W) views of channels-innermost memory
+        rng = np.random.default_rng(6)
+        x = np.ascontiguousarray(rng.random((8, 5, 5, 3)) * 5 + 2).transpose(0, 3, 1, 2)
+        rm, rv = np.zeros(3), np.ones(3)
+        T.batch_norm(
+            Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, training=True, momentum=1.0
+        )
+        np.testing.assert_array_equal(rv, np.var(x, axis=(0, 2, 3)))
+        np.testing.assert_array_equal(rm, np.mean(x, axis=(0, 2, 3)))
 
     def test_train_normalizes_per_channel(self):
         rng = np.random.default_rng(5)
