@@ -1,4 +1,4 @@
-"""Cosine similarity, the symmetric contrastive loss, and similarity ranking.
+"""The pairwise cosine matrix and the symmetric contrastive loss.
 
 The loss over a batch of N matched (image, response) pairs treats the N x N
 cosine matrix W as two stacks of classification problems: each row i must
@@ -18,7 +18,7 @@ Embeddings with near-zero norm cannot produce a meaningful cosine; they score
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,23 +48,6 @@ def reset_degenerate_count() -> None:
     global _degenerate_count
     with _counter_lock:
         _degenerate_count = 0
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of two vectors, clamped to [-1, 1].
-
-    Either norm below 1e-12 yields 0.0 (degenerate embedding, counted).
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        _count_degenerate(1)
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def similarity_matrix(img_emb: Tensor, spk_emb: Tensor) -> Tensor:
@@ -114,9 +97,3 @@ def loss_lower_bound(n: int) -> float:
     """log(1 + (N-1) e^-2): the floor the bounded logits impose on the loss."""
     return float(np.log1p((n - 1) * np.exp(-2.0)))
 
-
-def rank_candidates(query_emb: np.ndarray, candidate_embs: Sequence[np.ndarray]) -> list[float]:
-    """Cosine score of each candidate against the query; higher is better."""
-    if len(candidate_embs) == 0:
-        raise ValueError("candidate list is empty")
-    return [cosine_similarity(query_emb, c) for c in candidate_embs]

@@ -7,9 +7,9 @@ mirrors the conv stack with five transposed convolutions (kernel 4, stride 2,
 padding 1; channels 128, 64, 32, 16, c), batch norm and LeakyReLU between
 blocks and a final sigmoid into [0, 1].
 
-Retrieval scores are negated Euclidean distances so that higher is better
-everywhere in the toolkit; the induced ranking equals the usual
-smallest-distance rule.
+Retrieval (``crossalign.evaluation``) scores both baselines by negated
+Euclidean distance, so that higher is better everywhere in the toolkit; the
+induced ranking equals the usual smallest-distance rule.
 """
 
 from __future__ import annotations
@@ -173,48 +173,3 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred - target
     return (diff * diff).mean()
 
-
-def _neg_distances(pred: np.ndarray, candidates: np.ndarray) -> list[float]:
-    # pred (D,), candidates (K, D); score = -||pred - cand||_2
-    d = np.linalg.norm(candidates - pred[None, :], axis=1)
-    return [-float(v) for v in d]
-
-
-def baseline_scores(method: str, task_mode: str, query, candidates, params) -> list[float]:
-    """Negated-Euclidean-distance scores for one retrieval instance.
-
-    method 'direct-encode': params predict responses from images.
-      encoding: query image, candidate responses; distance in response space.
-      decoding: query response, candidate images (each encoded first).
-    method 'direct-decode': params predict images from responses.
-      encoding: query image, candidate responses (each decoded first).
-      decoding: query response, candidate images; distance in pixel space.
-
-    Higher score = closer = ranked better. Runs in eval mode.
-    """
-    if method not in ("direct-encode", "direct-decode"):
-        raise ValueError(f"unknown method {method!r}")
-    if task_mode not in ("encoding", "decoding"):
-        raise ValueError(f"unknown task mode {task_mode!r}")
-    if len(candidates) == 0:
-        raise ValueError("candidate list is empty")
-
-    with T.no_grad():
-        if method == "direct-encode":
-            if task_mode == "encoding":
-                pred = direct_encode_predict(params, Tensor(np.asarray(query)[None]), "eval")
-                cands = np.asarray(candidates, dtype=np.float64)
-                return _neg_distances(pred.data[0].astype(np.float64), cands)
-            preds = direct_encode_predict(params, Tensor(np.asarray(candidates)), "eval")
-            flat = preds.data.reshape(len(candidates), -1).astype(np.float64)
-            q = np.asarray(query, dtype=np.float64).reshape(-1)
-            return [-float(np.linalg.norm(row - q)) for row in flat]
-        if task_mode == "encoding":
-            preds = direct_decode_predict(params, Tensor(np.asarray(candidates)), "eval")
-            flat = preds.data.reshape(len(candidates), -1).astype(np.float64)
-            q = np.asarray(query, dtype=np.float64).reshape(-1)
-            return [-float(np.linalg.norm(row - q)) for row in flat]
-        pred = direct_decode_predict(params, Tensor(np.asarray(query)[None]), "eval")
-        p = pred.data[0].reshape(-1).astype(np.float64)
-        cands = np.asarray(candidates, dtype=np.float64).reshape(len(candidates), -1)
-        return _neg_distances(p, cands)

@@ -2,8 +2,7 @@
 
 Every command is deterministic given its flags; all randomness flows from the
 --seed values through named SeedSequence streams. Exit codes: 0 success,
-1 usage error, 2 data error, 3 numeric failure. CROSSALIGN_THREADS caps the
-evaluation worker fan-out (default 1, sequential).
+1 usage error, 2 data error, 3 numeric failure.
 
 Report files: --json documents validate against the schemas shipped in
 crossalign/schemas/; --csv files use the fixed column order
@@ -59,14 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _workers() -> int:
-    raw = os.environ.get("CROSSALIGN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _dump_json(obj) -> bytes:
@@ -199,10 +190,7 @@ def _run_eval(dataset, method: str, scorer, mode: str, k: int, seed: int) -> Eva
     modes = ("encoding", "decoding") if mode == "both" else (mode,)
     for m in modes:
         tasks.extend(build_tasks(dataset, m, k, seed))
-    return evaluate(
-        scorer, tasks, dataset, method=method, k_requested=k, seed=seed,
-        workers=_workers(),
-    )
+    return evaluate(scorer, tasks, dataset, method=method, k_requested=k, seed=seed)
 
 
 def cmd_eval(args) -> int:

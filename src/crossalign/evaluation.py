@@ -20,7 +20,6 @@ is the arithmetic mean of the encoding and decoding AUCs.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -36,6 +35,7 @@ from crossalign.baselines import (
 )
 from crossalign.dataio import DatasetContainer
 from crossalign.encoders import VnaParams, spike_encode, visual_encode
+from crossalign.errors import DataError
 from crossalign.synthdata import ForwardModel
 from crossalign.tensor import Tensor
 
@@ -177,19 +177,18 @@ def evaluate(
     method: str = "unknown",
     k_requested: int = 0,
     seed: int = 0,
-    workers: int = 1,
 ) -> EvalReport:
     """Score every instance and aggregate per-mode mean AUCs.
 
     The scorer returns one score per candidate, true candidate first, higher
-    better. Any scorer exception aborts the run naming the instance. With
-    workers > 1 instances are scored concurrently; the reduction is ordered,
-    so the report is identical to sequential execution.
+    better. Any scorer exception aborts the run naming the instance.
     """
     if not tasks:
         raise ValueError("no task instances to evaluate")
 
-    def score_one(inst: TaskInstance) -> float:
+    per_instance: dict = {}
+    k_effective: dict = {}
+    for inst in tasks:
         try:
             scores = scorer(inst)
         except Exception as e:
@@ -198,31 +197,17 @@ def evaluate(
             raise RuntimeError(
                 f"scorer returned {len(scores)} scores for instance {inst.label}; expected {inst.k}"
             )
-        return auc_single(scores[0], scores[1:])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            aucs = list(pool.map(score_one, tasks))
-    else:
-        aucs = [score_one(inst) for inst in tasks]
-
-    per_instance: dict = {}
-    k_effective: dict = {}
-    sums: dict = {}
-    for inst, auc in zip(tasks, aucs):
         _, _, s, t = inst.seed_info
+        auc = auc_single(scores[0], scores[1:])
         per_instance.setdefault(inst.mode, []).append({"stim": s, "trial": t, "auc": auc})
         k_effective[inst.mode] = inst.k
-        sums.setdefault(inst.mode, []).append(auc)
 
-    enc = float(np.mean(sums["encoding"])) if "encoding" in sums else None
-    dec = float(np.mean(sums["decoding"])) if "decoding" in sums else None
-    present = [v for v in (enc, dec) if v is not None]
-    avg = float(np.mean(present)) if present else None
+    means = {m: float(np.mean([r["auc"] for r in rows])) for m, rows in per_instance.items()}
     return EvalReport(
         method=method, dataset_id=dataset.dataset_id,
         k_requested=k_requested, k_effective=k_effective, seed=seed,
-        encoding_auc=enc, decoding_auc=dec, average_auc=avg,
+        encoding_auc=means.get("encoding"), decoding_auc=means.get("decoding"),
+        average_auc=float(np.mean(list(means.values()))),
         per_instance=per_instance,
     )
 
@@ -249,98 +234,81 @@ def _unit_rows(emb: np.ndarray) -> np.ndarray:
     return out
 
 
-class _TestIndex:
-    """Row lookups for test-split images and (stimulus, trial) responses."""
+def _cosine(cands: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.clip(cands @ q, -1.0, 1.0)
 
-    def __init__(self, dataset: DatasetContainer):
-        self.test_ids = list(dataset.test_ids)
-        self.trials = dataset.trials
-        self.stim_row = {s: i for i, s in enumerate(self.test_ids)}
 
-    def image_row(self, s: int) -> int:
-        return self.stim_row[s]
+def _neg_distance(cands: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return -np.linalg.norm(cands - q[None, :], axis=1)
 
-    def response_row(self, sid) -> int:
-        s, t = sid
-        return self.stim_row[s] * self.trials + t
+
+def _pair_scorer(
+    dataset: DatasetContainer,
+    image_side: np.ndarray,
+    response_side: np.ndarray,
+    metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Callable:
+    """Per-instance scorer over precomputed rows.
+
+    ``image_side`` holds one row per test stimulus and ``response_side`` one
+    row per test (stimulus, trial), both in test-split order. An encoding
+    query is an image row scored against response rows; decoding is the
+    mirror image.
+    """
+    row = {s: i for i, s in enumerate(dataset.test_ids)}
+    trials = dataset.trials
+
+    def scorer(inst: TaskInstance) -> np.ndarray:
+        ids = (inst.true_id,) + inst.distractor_ids
+        if inst.mode == "encoding":
+            q = image_side[row[inst.query_id]]
+            cands = response_side[[row[s] * trials + t for s, t in ids]]
+        else:
+            s, t = inst.query_id
+            q = response_side[row[s] * trials + t]
+            cands = image_side[[row[s] for s in ids]]
+        return metric(cands, q)
+
+    return scorer
+
+
+def _test_images(dataset: DatasetContainer) -> np.ndarray:
+    return np.asarray(dataset.images, dtype=np.float64)[list(dataset.test_ids)]
+
+
+def _test_responses(dataset: DatasetContainer) -> np.ndarray:
+    """Z-scored test responses, one row per (stimulus, trial)."""
+    return dataset.zscored_responses()[list(dataset.test_ids)].reshape(-1, dataset.neurons)
 
 
 def make_vna_scorer(params: VnaParams, dataset: DatasetContainer) -> Callable:
     """Cosine scorer with all test-split embeddings precomputed (eval mode)."""
-    index = _TestIndex(dataset)
     dtype = params.visual.proj_weight.dtype
-    images = np.asarray(dataset.images, dtype=np.float64)[index.test_ids]
-    resp_z = dataset.zscored_responses()[index.test_ids].reshape(-1, dataset.neurons)
-
-    img_emb = _batched_forward(lambda x: visual_encode(params.visual, x, "eval"), images, dtype)
-    spk_emb = _batched_forward(lambda x: spike_encode(params.spike, x, "eval"), resp_z, dtype)
-    img_unit = _unit_rows(img_emb)
-    spk_unit = _unit_rows(spk_emb)
-
-    def scorer(inst: TaskInstance) -> np.ndarray:
-        if inst.mode == "encoding":
-            q = img_unit[index.image_row(inst.query_id)]
-            rows = [index.response_row(inst.true_id)]
-            rows += [index.response_row(d) for d in inst.distractor_ids]
-            cands = spk_unit[rows]
-        else:
-            q = spk_unit[index.response_row(inst.query_id)]
-            rows = [index.image_row(inst.true_id)]
-            rows += [index.image_row(d) for d in inst.distractor_ids]
-            cands = img_unit[rows]
-        return np.clip(cands @ q, -1.0, 1.0)
-
-    return scorer
+    img_emb = _batched_forward(
+        lambda x: visual_encode(params.visual, x, "eval"), _test_images(dataset), dtype)
+    spk_emb = _batched_forward(
+        lambda x: spike_encode(params.spike, x, "eval"), _test_responses(dataset), dtype)
+    return _pair_scorer(dataset, _unit_rows(img_emb), _unit_rows(spk_emb), _cosine)
 
 
 def make_direct_encode_scorer(params: DirectEncoderParams, dataset: DatasetContainer) -> Callable:
     """Negated distances in (z-scored) response space against predicted rates."""
-    index = _TestIndex(dataset)
     dtype = params.tower.proj_weight.dtype
-    images = np.asarray(dataset.images, dtype=np.float64)[index.test_ids]
-    resp_z = dataset.zscored_responses()[index.test_ids].reshape(-1, dataset.neurons)
-    preds = _batched_forward(lambda x: direct_encode_predict(params, x, "eval"), images, dtype)
-
-    def scorer(inst: TaskInstance) -> np.ndarray:
-        if inst.mode == "encoding":
-            q = preds[index.image_row(inst.query_id)]
-            rows = [index.response_row(inst.true_id)]
-            rows += [index.response_row(d) for d in inst.distractor_ids]
-            cands = resp_z[rows]
-        else:
-            q = resp_z[index.response_row(inst.query_id)]
-            rows = [index.image_row(inst.true_id)]
-            rows += [index.image_row(d) for d in inst.distractor_ids]
-            cands = preds[rows]
-        return -np.linalg.norm(cands - q[None, :], axis=1)
-
-    return scorer
+    preds = _batched_forward(
+        lambda x: direct_encode_predict(params, x, "eval"), _test_images(dataset), dtype)
+    return _pair_scorer(dataset, preds, _test_responses(dataset), _neg_distance)
 
 
 def make_direct_decode_scorer(params: DirectDecoderParams, dataset: DatasetContainer) -> Callable:
     """Negated pixel-space distances against decoded images."""
-    index = _TestIndex(dataset)
     dtype = params.hidden_weight.dtype
-    images = np.asarray(dataset.images, dtype=np.float64)[index.test_ids]
-    flat_images = images.reshape(len(index.test_ids), -1)
-    resp_z = dataset.zscored_responses()[index.test_ids].reshape(-1, dataset.neurons)
-    decoded = _batched_forward(lambda x: direct_decode_predict(params, x, "eval"), resp_z, dtype)
-    decoded = decoded.reshape(decoded.shape[0], -1)
-
-    def scorer(inst: TaskInstance) -> np.ndarray:
-        if inst.mode == "encoding":
-            q = flat_images[index.image_row(inst.query_id)]
-            rows = [index.response_row(inst.true_id)]
-            rows += [index.response_row(d) for d in inst.distractor_ids]
-            cands = decoded[rows]
-        else:
-            q = decoded[index.response_row(inst.query_id)]
-            rows = [index.image_row(inst.true_id)]
-            rows += [index.image_row(d) for d in inst.distractor_ids]
-            cands = flat_images[rows]
-        return -np.linalg.norm(cands - q[None, :], axis=1)
-
-    return scorer
+    images = _test_images(dataset)
+    decoded = _batched_forward(
+        lambda x: direct_decode_predict(params, x, "eval"), _test_responses(dataset), dtype)
+    return _pair_scorer(
+        dataset, images.reshape(images.shape[0], -1),
+        decoded.reshape(decoded.shape[0], -1), _neg_distance,
+    )
 
 
 def make_oracle_scorer(model: ForwardModel, dataset: DatasetContainer) -> Callable:
@@ -349,30 +317,13 @@ def make_oracle_scorer(model: ForwardModel, dataset: DatasetContainer) -> Callab
     On noiseless data the true candidate sits at distance zero, so AUC is 1
     unless two stimuli collide in rate space.
     """
-    index = _TestIndex(dataset)
-    images = np.asarray(dataset.images, dtype=np.float64)[index.test_ids]
-    clean = model.clean_rates(images)
+    clean = model.clean_rates(_test_images(dataset))
     neuron_ids = dataset.manifest.get("neuron_ids")
     if neuron_ids is not None:
         clean = clean[:, list(neuron_ids)]
     if clean.shape[1] != dataset.neurons:
-        raise ValueError(
+        raise DataError(
             f"forward model rates have {clean.shape[1]} neurons, dataset has {dataset.neurons}"
         )
-    resp_raw = np.asarray(dataset.responses, dtype=np.float64)[index.test_ids]
-    resp_raw = resp_raw.reshape(-1, dataset.neurons)
-
-    def scorer(inst: TaskInstance) -> np.ndarray:
-        if inst.mode == "encoding":
-            q = clean[index.image_row(inst.query_id)]
-            rows = [index.response_row(inst.true_id)]
-            rows += [index.response_row(d) for d in inst.distractor_ids]
-            cands = resp_raw[rows]
-        else:
-            q = resp_raw[index.response_row(inst.query_id)]
-            rows = [index.image_row(inst.true_id)]
-            rows += [index.image_row(d) for d in inst.distractor_ids]
-            cands = clean[rows]
-        return -np.linalg.norm(cands - q[None, :], axis=1)
-
-    return scorer
+    resp_raw = np.asarray(dataset.responses, dtype=np.float64)[list(dataset.test_ids)]
+    return _pair_scorer(dataset, clean, resp_raw.reshape(-1, dataset.neurons), _neg_distance)

@@ -296,15 +296,25 @@ def load_forward_model(path: str) -> ForwardModel:
         raise DataError(f"missing forward model file: {path}")
     except json.JSONDecodeError as e:
         raise DataError(f"unparseable forward model JSON: {e}")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: forward model is not a JSON object")
     if doc.get("schema_version") != 1:
         raise DataError(f"unsupported forward model schema version {doc.get('schema_version')!r}")
-    noise = doc["noise"]
-    return ForwardModel(
-        proj=_from_b64(doc["proj"]),
-        tuning=_from_b64(doc["tuning"]),
-        baseline=_from_b64(doc["baseline"]),
-        noise=float("inf") if noise == "inf" else float(noise),
-        seed=int(doc["seed"]),
-        channels=int(doc["channels"]),
-        neurons=int(doc["neurons"]),
-    )
+    try:
+        noise = doc["noise"]
+        model = ForwardModel(
+            proj=_from_b64(doc["proj"]),
+            tuning=_from_b64(doc["tuning"]),
+            baseline=_from_b64(doc["baseline"]),
+            noise=float("inf") if noise == "inf" else float(noise),
+            seed=int(doc["seed"]),
+            channels=int(doc["channels"]),
+            neurons=int(doc["neurons"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed forward model: {e!r}")
+    shapes = (model.proj.shape, model.tuning.shape, model.baseline.shape)
+    n, width = model.neurons, POOLED_SIZE * POOLED_SIZE * model.channels
+    if shapes != ((FEATURE_DIM, width), (n, FEATURE_DIM), (n,)):
+        raise DataError(f"{path}: forward model array shapes {shapes} do not fit c={model.channels}, n={n}")
+    return model

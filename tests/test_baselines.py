@@ -6,7 +6,6 @@ import pytest
 from crossalign import tensor as T
 from crossalign.baselines import (
     DECODER_CHANNELS,
-    baseline_scores,
     direct_decode_predict,
     direct_encode_predict,
     init_direct_decoder,
@@ -14,6 +13,8 @@ from crossalign.baselines import (
     mse_loss,
 )
 from crossalign.tensor import Tensor, finite_diff_grad
+
+from scoring_reference import baseline_scores
 
 
 class TestDirectEncoder:
