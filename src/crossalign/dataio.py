@@ -286,6 +286,13 @@ def read_dataset(path: str) -> DatasetContainer:
         s, c, n, t = (_json_size(manifest[k], f"manifest.json: {k}") for k in ("S", "c", "n", "T"))
     except KeyError as e:
         raise DataError(f"manifest missing field {e}")
+    neuron_ids = manifest.get("neuron_ids")
+    if neuron_ids is not None:
+        if not isinstance(neuron_ids, list) or len(neuron_ids) != n:
+            raise DataError(f"manifest.json: neuron_ids must be a list of n={n} ids")
+        ids = [_json_size(i, "manifest.json: neuron id") for i in neuron_ids]
+        if len(set(ids)) != n:
+            raise DataError("manifest.json: neuron_ids repeat an id")
     splits = _load_json(os.path.join(path, "splits.json"))
     train_ids, test_ids = (
         [_json_size(i, f"splits.json: {name} id") for i in splits.get(name, [])]

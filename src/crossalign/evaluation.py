@@ -89,27 +89,21 @@ def build_tasks(dataset: DatasetContainer, mode: str, k: int, seed: int) -> list
     if k_eff < 2:
         raise ValueError(f"test split supports only {available} candidate(s); need >= 2")
 
+    # candidates in stimulus-major order: (stimulus, trial) pairs when encoding
+    encoding = mode == "encoding"
+    pool = [(o, t) for o in test_ids for t in range(trials)] if encoding else test_ids
     instances = []
     for s in test_ids:
-        others = [o for o in test_ids if o != s]
+        others = [c for c in pool if c[0] != s] if encoding else [o for o in pool if o != s]
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, flag, s, t]))
-            if mode == "encoding":
-                pool = len(others) * trials
-                chosen = rng.choice(pool, size=k_eff - 1, replace=False)
-                distractors = tuple((others[int(i) // trials], int(i) % trials) for i in chosen)
-                inst = TaskInstance(
-                    mode=mode, query_id=s, true_id=(s, t),
-                    distractor_ids=distractors, seed_info=(seed, flag, s, t),
-                )
-            else:
-                chosen = rng.choice(len(others), size=k_eff - 1, replace=False)
-                distractors = tuple(others[int(i)] for i in chosen)
-                inst = TaskInstance(
-                    mode=mode, query_id=(s, t), true_id=s,
-                    distractor_ids=distractors, seed_info=(seed, flag, s, t),
-                )
-            instances.append(inst)
+            chosen = rng.choice(len(others), size=k_eff - 1, replace=False)
+            query, true = (s, (s, t)) if encoding else ((s, t), s)
+            instances.append(TaskInstance(
+                mode=mode, query_id=query, true_id=true,
+                distractor_ids=tuple([others[i] for i in chosen.tolist()]),
+                seed_info=(seed, flag, s, t),
+            ))
     return instances
 
 
@@ -234,12 +228,16 @@ def _unit_rows(emb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cosine(cands: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.clip(cands @ q, -1.0, 1.0)
+def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.clip(a @ b.T, -1.0, 1.0)
 
 
-def _neg_distance(cands: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return -np.linalg.norm(cands - q[None, :], axis=1)
+def _neg_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # -||a_i - b_j|| from the Gram matrix; the clamp keeps a rounded-negative
+    # square (a row against its own copy) at distance 0 rather than NaN
+    sq_a = np.einsum("ij,ij->i", a, a)
+    sq_b = np.einsum("ij,ij->i", b, b)
+    return -np.sqrt(np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0))
 
 
 def _pair_scorer(
@@ -248,26 +246,24 @@ def _pair_scorer(
     response_side: np.ndarray,
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> Callable:
-    """Per-instance scorer over precomputed rows.
+    """Per-instance scorer reading one precomputed score table.
 
     ``image_side`` holds one row per test stimulus and ``response_side`` one
-    row per test (stimulus, trial), both in test-split order. An encoding
-    query is an image row scored against response rows; decoding is the
-    mirror image.
+    row per test (stimulus, trial), both in test-split order. The table
+    ``metric(image_side, response_side)`` scores every such pair once, an
+    (S_test, S_test * T) array; an encoding instance reads along an image's
+    row of it, a decoding instance down a response's column.
     """
+    table = metric(image_side, response_side)
     row = {s: i for i, s in enumerate(dataset.test_ids)}
     trials = dataset.trials
 
     def scorer(inst: TaskInstance) -> np.ndarray:
         ids = (inst.true_id,) + inst.distractor_ids
         if inst.mode == "encoding":
-            q = image_side[row[inst.query_id]]
-            cands = response_side[[row[s] * trials + t for s, t in ids]]
-        else:
-            s, t = inst.query_id
-            q = response_side[row[s] * trials + t]
-            cands = image_side[[row[s] for s in ids]]
-        return metric(cands, q)
+            return table[row[inst.query_id], [row[s] * trials + t for s, t in ids]]
+        qs, qt = inst.query_id
+        return table[[row[s] for s in ids], row[qs] * trials + qt]
 
     return scorer
 
@@ -317,8 +313,16 @@ def make_oracle_scorer(model: ForwardModel, dataset: DatasetContainer) -> Callab
     On noiseless data the true candidate sits at distance zero, so AUC is 1
     unless two stimuli collide in rate space.
     """
-    clean = model.clean_rates(_test_images(dataset))
+    if model.channels != dataset.channels:
+        raise DataError(
+            f"forward model takes {model.channels}-channel images, dataset has {dataset.channels}"
+        )
     neuron_ids = dataset.manifest.get("neuron_ids")
+    if neuron_ids is not None and max(neuron_ids, default=-1) >= model.neurons:
+        raise DataError(
+            f"dataset neuron id {max(neuron_ids)} is past the forward model's {model.neurons} neurons"
+        )
+    clean = model.clean_rates(_test_images(dataset))
     if neuron_ids is not None:
         clean = clean[:, list(neuron_ids)]
     if clean.shape[1] != dataset.neurons:

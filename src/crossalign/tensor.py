@@ -68,8 +68,9 @@ def default_dtype(dtype):
 class Tensor:
     """A numpy array with optional gradient tracking.
 
-    ``grad`` is ``None`` until a backward pass reaches this tensor; repeated
-    backward passes without ``zero_grad`` accumulate.
+    ``grad`` is ``None`` until a backward pass reaches this tensor, and stays
+    ``None`` on op outputs: only leaves keep a gradient. Repeated backward
+    passes without ``zero_grad`` accumulate.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
@@ -118,8 +119,10 @@ class Tensor:
     # -- graph machinery -----------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with ``requires_grad``.
+        """Populate ``grad`` on every reachable leaf with ``requires_grad``.
 
+        Leaves are tensors no op produced (parameters and inputs); op outputs
+        pass their gradient on to their parents and keep ``grad`` at None.
         Only defined for scalars. Nodes are visited in exact reverse creation
         order, which respects the data dependencies of the recorded graph.
         """
@@ -132,10 +135,10 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                # order="K" keeps a channels-innermost gradient in its layout
-                node.grad = g.copy(order="K") if node.grad is None else node.grad + g
             if node._vjp is None:
+                if node.requires_grad:
+                    # order="K" keeps a channels-innermost gradient in its layout
+                    node.grad = g.copy(order="K") if node.grad is None else node.grad + g
                 continue
             needs = tuple(p.requires_grad for p in node._parents)
             for parent, pg in zip(node._parents, node._vjp(g, needs)):

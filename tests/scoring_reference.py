@@ -1,9 +1,11 @@
-"""Per-instance retrieval scores computed one candidate at a time, kept as a test oracle.
+"""Retrieval tasks and scores computed one candidate at a time, kept as a test oracle.
 
-``crossalign.evaluation`` precomputes every test-split row once and scores an
-instance with one gather; these functions start again from raw vectors (and,
-for the baselines, run the model on each candidate), so the batched scorers
-must agree with them instance by instance.
+``crossalign.evaluation`` scores every test (stimulus, (stimulus, trial))
+pair once into a table and answers an instance by indexing it; these
+functions start again from raw vectors (and, for the baselines, run the model
+on each candidate), so the table-backed scorers must agree with them instance
+by instance. ``reference_tasks`` builds each distractor id from its drawn
+index on its own, the way task lists were first built.
 """
 
 import numpy as np
@@ -11,7 +13,39 @@ import numpy as np
 from crossalign import alignment
 from crossalign import tensor as T
 from crossalign.baselines import direct_decode_predict, direct_encode_predict
+from crossalign.evaluation import _MODE_FLAGS, TaskInstance
 from crossalign.tensor import Tensor
+
+
+def reference_tasks(dataset, mode: str, k: int, seed: int) -> list:
+    """``evaluation.build_tasks`` with the same seeds, mapping each draw by hand."""
+    test_ids = list(dataset.test_ids)
+    trials = dataset.trials
+    flag = _MODE_FLAGS[mode]
+    available = (len(test_ids) - 1) * trials + 1 if mode == "encoding" else len(test_ids)
+    k_eff = min(k, available)
+    instances = []
+    for s in test_ids:
+        others = [o for o in test_ids if o != s]
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, flag, s, t]))
+            if mode == "encoding":
+                pool = len(others) * trials
+                chosen = rng.choice(pool, size=k_eff - 1, replace=False)
+                distractors = tuple((others[int(i) // trials], int(i) % trials) for i in chosen)
+                inst = TaskInstance(
+                    mode=mode, query_id=s, true_id=(s, t),
+                    distractor_ids=distractors, seed_info=(seed, flag, s, t),
+                )
+            else:
+                chosen = rng.choice(len(others), size=k_eff - 1, replace=False)
+                distractors = tuple(others[int(i)] for i in chosen)
+                inst = TaskInstance(
+                    mode=mode, query_id=(s, t), true_id=s,
+                    distractor_ids=distractors, seed_info=(seed, flag, s, t),
+                )
+            instances.append(inst)
+    return instances
 
 
 def cosine_similarity(a, b) -> float:

@@ -16,6 +16,7 @@ import pytest
 
 from crossalign.cli import main
 from crossalign.errors import NumericError
+from crossalign.synthdata import _b64, make_forward_model
 from crossalign.trainer import CHECKPOINT_MAGIC, load_checkpoint
 
 S, N, T = 20, 8, 2  # 4 test stimuli after the 0.2 split
@@ -135,6 +136,15 @@ def test_checkpoint_header_without_a_section_is_data_error(tmp_path, ckpt, data_
     assert key in capsys.readouterr().err
 
 
+def _forward_model_doc(channels):
+    """A well-formed forward-model document for ``channels``-channel images."""
+    model = make_forward_model(seed=0, n=N, c=channels, noise=0.0)
+    return {
+        "schema_version": 1, "seed": 0, "channels": channels, "neurons": N, "noise": 0.0,
+        "proj": _b64(model.proj), "tuning": _b64(model.tuning), "baseline": _b64(model.baseline),
+    }
+
+
 def _edited(doc, path, value):
     """``doc`` with the entry at ``path`` deleted (value None) or replaced."""
     if not path:
@@ -180,8 +190,12 @@ def test_malformed_checkpoint_header_is_data_error(tmp_path, ckpt, data_dir, pat
     ("forward_model.json", ("proj", "shape"), [256, 64]),
     ("forward_model.json", (), [1, 2]),
     ("manifest.json", ("neuron_ids",), list(range(N - 1))),
+    ("forward_model.json", (), _forward_model_doc(channels=2)),
+    ("manifest.json", ("neuron_ids",), list(range(N - 1)) + [99]),
+    ("manifest.json", ("neuron_ids",), [0] * N),
 ], ids=["missing-proj", "proj-not-a-blob", "neurons-not-a-number", "proj-transposed",
-        "document-is-a-list", "rates-narrower-than-dataset"])
+        "document-is-a-list", "rates-narrower-than-dataset", "model-for-two-channels",
+        "neuron-id-past-the-model", "neuron-ids-repeat"])
 def test_forward_model_that_does_not_fit_is_data_error(tmp_path, data_dir, file, path, value, capsys):
     copy = tmp_path / "data"
     shutil.copytree(data_dir, copy)

@@ -12,6 +12,7 @@ from crossalign.dataio import DatasetContainer, compute_stats, split_dataset
 from crossalign.encoders import VnaParams, init_params, spike_encode, visual_encode
 from crossalign.evaluation import (
     EvalReport,
+    _neg_distance,
     auc_single,
     build_tasks,
     evaluate,
@@ -23,7 +24,7 @@ from crossalign.evaluation import (
 from crossalign.synthdata import SyntheticDatasetSpec, generate_dataset
 from crossalign.tensor import Tensor
 
-from scoring_reference import baseline_scores, oracle_scores, rank_candidates
+from scoring_reference import baseline_scores, oracle_scores, rank_candidates, reference_tasks
 
 
 def _random_container(s=10, c=1, t=1, n=6, seed=0, test_fraction=0.3) -> DatasetContainer:
@@ -141,6 +142,18 @@ class TestBuildTasks:
                 else:
                     assert all(d != s and d in ds.test_ids for d in inst.distractor_ids)
 
+    @pytest.mark.parametrize("mode", ["encoding", "decoding"])
+    @pytest.mark.parametrize("k", [4, 400], ids=["k-fits", "k-clamped"])
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_matches_reference(self, mode, k, trials):
+        ds = _random_container(s=20, t=trials, test_fraction=0.3)  # 6 test stimuli
+        if k > 4:
+            with pytest.warns(UserWarning, match="clamped"):
+                tasks = build_tasks(ds, mode, k, seed=2)
+        else:
+            tasks = build_tasks(ds, mode, k, seed=2)
+        assert tasks == reference_tasks(ds, mode, k, seed=2)
+
 
 class TestEvaluate:
     def _tasks(self, ds, k=5, seed=0):
@@ -211,10 +224,20 @@ class TestEvaluate:
         assert list(rows[0].keys()) == ["dataset", "method", "mode", "K", "seed", "auc"]
 
 
+_SCORER_DATASETS = pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy-subsampled"])
+
+
 class TestScorers:
     def _synth(self, noise=0.0, s=20, n=8, t=2, seed=0):
         spec = SyntheticDatasetSpec(stimuli=s, channels=1, neurons=n, trials=t, noise=noise, seed=seed)
         return generate_dataset(spec)
+
+    def _dataset(self, noisy):
+        """The default clean set, or noise 0.7 with 4 trials and 9 of 40 neurons kept."""
+        if not noisy:
+            return self._synth()[0]
+        spec = SyntheticDatasetSpec(stimuli=30, channels=1, neurons=40, trials=4, noise=0.7, seed=5)
+        return generate_dataset(spec, subsample=9)[0]
 
     def test_oracle_perfect_on_noiseless(self):
         ds, model = self._synth(noise=0.0)
@@ -267,8 +290,9 @@ class TestScorers:
         assert hits > 0
         alignment.reset_degenerate_count()
 
-    def test_vna_scorer_matches_direct_cosines(self):
-        ds, _ = self._synth()
+    @_SCORER_DATASETS
+    def test_vna_scorer_matches_direct_cosines(self, noisy):
+        ds = self._dataset(noisy)
         vis, spk = init_params(0, c=1, n=ds.neurons, d=8)
         params = VnaParams(visual=vis, spike=spk)
         scorer = make_vna_scorer(params, ds)
@@ -293,8 +317,9 @@ class TestScorers:
             want = rank_candidates(q, cands)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_direct_encode_scorer_matches_op(self):
-        ds, _ = self._synth()
+    @_SCORER_DATASETS
+    def test_direct_encode_scorer_matches_op(self, noisy):
+        ds = self._dataset(noisy)
         params = init_direct_encoder(0, c=1, n=ds.neurons)
         scorer = make_direct_encode_scorer(params, ds)
         z = ds.zscored_responses()
@@ -315,8 +340,9 @@ class TestScorers:
                     )
                 np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_direct_decode_scorer_matches_op(self):
-        ds, _ = self._synth()
+    @_SCORER_DATASETS
+    def test_direct_decode_scorer_matches_op(self, noisy):
+        ds = self._dataset(noisy)
         params = init_direct_decoder(0, c=1, n=ds.neurons)
         scorer = make_direct_decode_scorer(params, ds)
         z = ds.zscored_responses()
@@ -336,6 +362,16 @@ class TestScorers:
                         "direct-decode", mode, z[s, t], [images[s2] for s2 in ids], params,
                     )
                 np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_neg_distance_scores_an_exact_copy_finite_and_first(self):
+        # From the Gram matrix a row's squared distance to its own copy rounds
+        # to a tiny value of either sign; a negative one must not become NaN.
+        rng = np.random.default_rng(0)
+        queries = 3.0 * rng.normal(size=(64, 64))
+        cands = np.concatenate([3.0 * rng.normal(size=(8, 64)), queries])
+        table = _neg_distance(queries, cands)
+        assert np.isfinite(table).all()
+        np.testing.assert_array_equal(np.argmax(table, axis=1), 8 + np.arange(64))
 
     def test_repeat_evaluation_bit_identical(self):
         ds, model = self._synth(noise=0.5)
