@@ -42,6 +42,10 @@ class DirectEncoderParams:
     tower: VisualEncoderParams
     neurons: int
 
+    @property
+    def channels(self) -> int:
+        return self.tower.channels
+
     def named_parameters(self) -> dict[str, Tensor]:
         return self.tower.named_parameters()
 

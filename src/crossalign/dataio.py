@@ -54,6 +54,8 @@ class RunConfig:
     temperature: Optional[float] = None
 
     def validate(self) -> "RunConfig":
+        if any(type(v) is not int for v in (self.d, self.batch_size, self.k, self.epochs, self.seed)):
+            raise ValueError("d, batch size, K, epochs and seed must be integers")
         if self.method not in ("vna", "direct-encode", "direct-decode"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.d < 1 or self.batch_size < 1 or self.k < 2:

@@ -116,6 +116,14 @@ class VnaParams:
     visual: VisualEncoderParams
     spike: SpikeEncoderParams
 
+    @property
+    def channels(self) -> int:
+        return self.visual.channels
+
+    @property
+    def neurons(self) -> int:
+        return self.spike.neurons
+
     def named_parameters(self) -> dict[str, Tensor]:
         out = {f"visual.{k}": v for k, v in self.visual.named_parameters().items()}
         out.update({f"spike.{k}": v for k, v in self.spike.named_parameters().items()})
@@ -239,39 +247,3 @@ def spike_encode(params: SpikeEncoderParams, spikes: Tensor, mode: str) -> Tenso
     )
     x = T.leaky_relu(x, LEAKY_SLOPE)
     return T.linear(x, params.proj_weight, params.proj_bias)
-
-
-# -- image resizing -----------------------------------------------------------
-
-
-def resize_image(image: np.ndarray, out_size: int = 64) -> np.ndarray:
-    """Bilinear resize of a (c, H, W) image to (c, out_size, out_size).
-
-    Sampling is corner-aligned: source coordinate i * (in - 1) / (out - 1).
-    An input already at the target size is returned unchanged, bit for bit.
-    """
-    image = np.asarray(image)
-    if image.ndim != 3:
-        raise ValueError(f"expected a (c, H, W) image, got shape {image.shape}")
-    c, h, w = image.shape
-    if h < 1 or w < 1 or c < 1:
-        raise ValueError(f"zero-sized image: shape {image.shape}")
-    if h == out_size and w == out_size:
-        return image
-
-    def _axis_coords(n_in: int) -> np.ndarray:
-        if out_size == 1:
-            return np.full(1, (n_in - 1) / 2.0)
-        return np.arange(out_size) * ((n_in - 1) / (out_size - 1))
-
-    ys, xs = _axis_coords(h), _axis_coords(w)
-    y0 = np.clip(np.floor(ys).astype(int), 0, max(h - 1, 0))
-    x0 = np.clip(np.floor(xs).astype(int), 0, max(w - 1, 0))
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
-
-    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
-    bot = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy

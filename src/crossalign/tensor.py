@@ -113,9 +113,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     # -- graph machinery -----------------------------------------------------
 
     def backward(self) -> None:
@@ -681,36 +678,6 @@ def batch_norm(
 
     out_data = gview * xhat + beta.data.reshape(view)
     return _result(out_data, (x, gamma, beta), vjp)
-
-
-# -- gradient checking ----------------------------------------------------------
-
-
-def finite_diff_grad(fn: Callable, point, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, per coordinate.
-
-    ``point`` may be a Tensor or a plain array; ``fn`` receives the same kind.
-    """
-    if h <= 0:
-        raise ValueError(f"finite_diff_grad: h must be positive, got {h}")
-    as_tensor = isinstance(point, Tensor)
-    base = (point.data if as_tensor else np.asarray(point)).astype(np.float64, copy=True)
-
-    def call(arr: np.ndarray) -> float:
-        return float(fn(Tensor(arr, dtype=np.float64) if as_tensor else arr))
-
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = call(base.copy())
-        flat[i] = orig - h
-        lo = call(base.copy())
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad
 
 
 # -- operator sugar ----------------------------------------------------------

@@ -52,7 +52,7 @@ from crossalign.errors import DataError, NumericError
 from crossalign.tensor import Tensor
 
 CHECKPOINT_MAGIC = b"XALNCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _TAG_EPOCH = 41
 
 ModelParams = Union[VnaParams, DirectEncoderParams, DirectDecoderParams]
@@ -152,14 +152,16 @@ def train(dataset: DatasetContainer, config: RunConfig, resume: Optional[TrainRe
     method = config.method
     np_dtype = np.float32 if config.dtype == "float32" else np.float64
 
-    examples = [(s, t) for s in dataset.train_ids for t in range(dataset.trials)]
+    # example i is (stim[i], trial[i]), stimulus-major
+    stim = np.repeat(dataset.train_ids, dataset.trials)
+    trial = np.tile(np.arange(dataset.trials), len(dataset.train_ids))
     batch_size = config.batch_size
-    if method == "vna" and batch_size > len(examples):
+    if method == "vna" and batch_size > len(stim):
         warnings.warn(
-            f"batch size {batch_size} exceeds {len(examples)} train examples; clamping",
+            f"batch size {batch_size} exceeds {len(stim)} train examples; clamping",
             stacklevel=2,
         )
-        batch_size = len(examples)
+        batch_size = len(stim)
 
     images_all = np.asarray(dataset.images, dtype=np_dtype)
     spikes_all = dataset.zscored_responses().astype(np_dtype)
@@ -183,7 +185,7 @@ def train(dataset: DatasetContainer, config: RunConfig, resume: Optional[TrainRe
 
         start = time.perf_counter()
         for epoch in range(len(losses), config.epochs):
-            order = epoch_permutation(config.seed, epoch, len(examples))
+            order = epoch_permutation(config.seed, epoch, len(stim))
             epoch_losses = []
             for lo in range(0, len(order), batch_size):
                 idx = order[lo : lo + batch_size]
@@ -191,10 +193,8 @@ def train(dataset: DatasetContainer, config: RunConfig, resume: Optional[TrainRe
                     break  # contrastive loss quality depends on N; drop short tail
                 if len(idx) < 2:
                     continue  # batch norm cannot normalize a single example
-                stim_ids = [examples[i][0] for i in idx]
-                rows = [(examples[i][0], examples[i][1]) for i in idx]
-                images = Tensor(images_all[stim_ids])
-                spikes = Tensor(np.stack([spikes_all[s, t] for s, t in rows]))
+                images = Tensor(images_all[stim[idx]])
+                spikes = Tensor(spikes_all[stim[idx], trial[idx]])
                 for p in named.values():
                     p.zero_grad()
                 loss = _batch_loss(method, params, images, spikes, config.temperature)
@@ -251,6 +251,7 @@ def save_checkpoint(result: TrainResult, path: str) -> None:
             "beta2": result.adam.beta2, "eps": result.adam.eps, "t": result.adam.t,
         },
         "bn": {"momentum": BN_MOMENTUM, "eps": BN_EPS},
+        "arch": {"channels": result.params.channels, "neurons": result.params.neurons},
         "arrays": [
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.newbyteorder("<").str}
             for name, arr in arrays
@@ -270,7 +271,13 @@ def save_checkpoint(result: TrainResult, path: str) -> None:
 
 
 def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResult:
-    """Rebuild a TrainResult from disk; optionally enforce the method tag."""
+    """Rebuild a TrainResult from disk; optionally enforce the method tag.
+
+    The header's architecture and config build the model skeleton. The array
+    manifest must then name exactly the arrays a save of that skeleton
+    writes, each once and at the skeleton's shape, with Adam moments present
+    exactly when ``adam.t > 0``.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -283,17 +290,19 @@ def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResu
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     try:
         meta = json.loads(raw[16 : 16 + meta_len])
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
         raise DataError(f"{path}: corrupt checkpoint metadata: {e}")
     if not isinstance(meta, dict):
         raise DataError(f"{path}: checkpoint metadata is not a JSON object")
     if meta.get("schema_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {meta.get('schema_version')!r}"
+            f" (this reader takes version {CHECKPOINT_VERSION})"
         )
-    _require(path, meta, "metadata", ("method", "config", "arrays", "adam", "history"))
-    adam_meta = _require(path, meta["adam"], "adam", ("lr", "beta1", "beta2", "eps", "t"))
-    hist_meta = _require(path, meta["history"], "history", ("losses", "steps", "seed"))
+    _require(path, meta, "metadata")
+    arch = _require(path, meta["arch"], "arch")
+    adam_meta = _require(path, meta["adam"], "adam")
+    hist_meta = _require(path, meta["history"], "history")
     method = meta["method"]
     if expect_method is not None and method != expect_method:
         raise DataError(f"{path}: checkpoint method is {method!r}, expected {expect_method!r}")
@@ -304,83 +313,80 @@ def load_checkpoint(path: str, expect_method: Optional[str] = None) -> TrainResu
         raise DataError(f"{path}: bad checkpoint config: {e}")
     if method != config.method:
         raise DataError(f"{path}: checkpoint method {method!r} differs from config {config.method!r}")
+
     np_dtype = np.float32 if config.dtype == "float32" else np.float64
-
-    loaded: dict[str, np.ndarray] = {}
-    offset = 16 + meta_len
-    for spec in meta["arrays"]:
-        _require(path, spec, "array entry", ("name", "shape", "dtype"))
-        try:
-            dt = np.dtype(spec["dtype"])
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        except TypeError:
-            raise DataError(f"{path}: array {spec['name']} has a bad dtype or shape")
-        nbytes = dt.itemsize * count
-        if offset + nbytes > len(raw):
-            raise DataError(
-                f"{path}: truncated checkpoint: array {spec['name']} needs {nbytes} bytes"
-            )
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(spec["shape"])
-        loaded[spec["name"]] = arr.astype(dt.newbyteorder("="), copy=True)
-        offset += nbytes
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes after declared arrays")
-
-    # rebuild the parameter skeleton at the checkpoint's dtype, then fill it
-    arch_c = _infer_channels(method, loaded)
-    arch_n = _infer_neurons(method, loaded)
     with T.default_dtype(np_dtype):
-        params = _init_model(config, arch_c, arch_n)
-    named = params.named_parameters()
-    for name, p in named.items():
-        key = f"param:{name}"
-        if key not in loaded:
-            raise DataError(f"{path}: checkpoint missing array {key}")
-        if tuple(loaded[key].shape) != p.shape:
-            raise DataError(
-                f"{path}: array {key} has shape {loaded[key].shape}, expected {p.shape}"
-            )
-        p.data = loaded[key]
-    for name, buf in params.named_buffers().items():
-        key = f"buffer:{name}"
-        if key not in loaded:
-            raise DataError(f"{path}: checkpoint missing array {key}")
-        buf[:] = loaded[key]
-
+        params = _init_model(config, arch["channels"], arch["neurons"])
     adam = AdamState(
         lr=adam_meta["lr"], beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
         eps=adam_meta["eps"], t=adam_meta["t"],
-        m={k[len("adam_m:"):]: v for k, v in loaded.items() if k.startswith("adam_m:")},
-        v={k[len("adam_v:"):]: v for k, v in loaded.items() if k.startswith("adam_v:")},
     )
+    if adam.t > 0:
+        # placeholders that name the expected moments; the walk replaces each
+        adam.m = {k: p.data for k, p in params.named_parameters().items()}
+        adam.v = dict(adam.m)
     history = TrainHistory(
         losses=list(hist_meta["losses"]), steps=hist_meta["steps"],
         wall_clock=0.0, seed=hist_meta["seed"],
         method=method, config=meta["config"],
     )
-    return TrainResult(params=params, adam=adam, history=history)
+    result = TrainResult(params=params, adam=adam, history=history)
+
+    expected = dict(_arrays_in_order(result))
+    model_dtype = "<f4" if config.dtype == "float32" else "<f8"
+    offset = 16 + meta_len
+    for spec in meta["arrays"]:
+        _require(path, spec, "array entry")
+        name, shape, dtype = spec["name"], spec["shape"], spec["dtype"]
+        slot = expected.pop(name, None)
+        if slot is None:
+            raise DataError(f"{path}: array {name!r} is unexpected or repeated")
+        moment = name.startswith(("adam_m:", "adam_v:"))
+        if dtype not in (("<f4", "<f8") if moment else (model_dtype,)):
+            raise DataError(f"{path}: array {name} has dtype {dtype!r}")
+        if not all(type(x) is int for x in shape) or tuple(shape) != slot.shape:
+            raise DataError(f"{path}: array {name} has shape {shape!r}, expected {list(slot.shape)}")
+        nbytes = slot.size * np.dtype(dtype).itemsize
+        if offset + nbytes > len(raw):
+            raise DataError(f"{path}: truncated checkpoint: array {name} needs {nbytes} bytes")
+        arr = np.frombuffer(raw, dtype=dtype, count=slot.size, offset=offset).reshape(slot.shape)
+        if moment:
+            # kept at the stored precision, which may be wider than the model's
+            kind, key = name.split(":", 1)
+            (adam.m if kind == "adam_m" else adam.v)[key] = arr.astype(arr.dtype.newbyteorder("="))
+        else:
+            slot[...] = arr
+        offset += nbytes
+    if expected:
+        raise DataError(f"{path}: checkpoint missing array {min(expected)}")
+    if offset != len(raw):
+        raise DataError(f"{path}: {len(raw) - offset} trailing bytes after declared arrays")
+    return result
 
 
-def _require(path: str, obj, where: str, keys: tuple) -> dict:
-    """``obj`` as a header object holding ``keys``, else a DataError."""
+# header schema: section -> key -> JSON kind, where float takes any JSON number
+# and bool is never a number; _LEAST floors the integers that size or count
+_SCHEMA = {
+    "metadata": {"method": str, "config": dict, "arch": dict, "adam": dict, "history": dict, "arrays": list},
+    "arch": {"channels": int, "neurons": int},
+    "adam": {"lr": float, "beta1": float, "beta2": float, "eps": float, "t": int},
+    "history": {"losses": list, "steps": int, "seed": int},
+    "array entry": {"name": str, "shape": list, "dtype": str},
+}
+_LEAST = {"channels": 1, "neurons": 1, "t": 0, "steps": 0}
+
+
+def _require(path: str, obj, where: str) -> dict:
+    """``obj`` as a header object matching ``_SCHEMA[where]``, else a DataError."""
     if not isinstance(obj, dict):
         raise DataError(f"{path}: checkpoint {where} is not a JSON object")
-    missing = [k for k in keys if k not in obj]
+    schema = _SCHEMA[where]
+    missing = [k for k in schema if k not in obj]
     if missing:
         raise DataError(f"{path}: checkpoint {where} lacks {', '.join(missing)}")
+    for key, kind in schema.items():
+        value = obj[key]
+        ok = type(value) is kind or (kind is float and type(value) is int)
+        if not ok or (key in _LEAST and value < _LEAST[key]):
+            raise DataError(f"{path}: checkpoint {where} has a bad {key}: {value!r:.60}")
     return obj
-
-
-def _infer_channels(method: str, loaded: dict) -> int:
-    if method in ("vna", "direct-encode"):
-        prefix = "param:visual.conv1.weight" if method == "vna" else "param:conv1.weight"
-        return loaded[prefix].shape[1]
-    return loaded["param:final.weight"].shape[1]
-
-
-def _infer_neurons(method: str, loaded: dict) -> int:
-    if method == "vna":
-        return loaded["param:spike.hidden.weight"].shape[1]
-    if method == "direct-encode":
-        return loaded["param:proj.weight"].shape[0]
-    return loaded["param:hidden.weight"].shape[1]

@@ -30,6 +30,8 @@ from crossalign.synthdata import SyntheticDatasetSpec, generate_dataset
 from crossalign.tensor import Tensor
 from crossalign.trainer import train
 
+from gradcheck import finite_diff_grad
+
 METHODS = ("vna", "direct-encode", "direct-decode")
 SCORERS = {
     "vna": make_vna_scorer,
@@ -181,7 +183,7 @@ def _sweep_ops(rng, failures):
                     with T.no_grad():
                         return float(fn(*args))
 
-                rel = _max_rel(leaf.grad, T.finite_diff_grad(partial, leaf))
+                rel = _max_rel(leaf.grad, finite_diff_grad(partial, leaf))
                 worst = max(worst, rel)
                 if rel > 1e-4:
                     failures.append(f"{name}[arg{i}] rel {rel:.2e}")

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from crossalign import alignment as A
 from crossalign import tensor as T
-from crossalign.tensor import Tensor, finite_diff_grad
+from crossalign.tensor import Tensor
 
+from gradcheck import finite_diff_grad
 from scoring_reference import cosine_similarity, rank_candidates
 
 

@@ -12,8 +12,9 @@ from crossalign.baselines import (
     init_direct_encoder,
     mse_loss,
 )
-from crossalign.tensor import Tensor, finite_diff_grad
+from crossalign.tensor import Tensor
 
+from gradcheck import finite_diff_grad
 from scoring_reference import baseline_scores
 
 

@@ -12,10 +12,13 @@ import struct
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossalign.cli import main
-from crossalign.errors import NumericError
+from crossalign.errors import DataError, NumericError
 from crossalign.synthdata import _b64, make_forward_model
 from crossalign.trainer import CHECKPOINT_MAGIC, load_checkpoint
 
@@ -52,6 +55,17 @@ def ckpt(tmp_path_factory, data_dir):
     path = tmp_path_factory.mktemp("ck") / "vna.ckpt"
     assert main(_train_args(data_dir, path)) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def ckpts(tmp_path_factory, data_dir, ckpt):
+    """A 2-epoch checkpoint per method, so each stores its Adam moments."""
+    out = {"vna": ckpt}
+    for method in ("direct-encode", "direct-decode"):
+        path = tmp_path_factory.mktemp("ck") / f"{method}.ckpt"
+        assert main(_train_args(data_dir, path, method=method)) == 0
+        out[method] = path
+    return out
 
 
 # -- gen-data -------------------------------------------------------------------
@@ -122,15 +136,38 @@ def test_checkpoint_shorter_than_its_header_is_data_error(tmp_path, data_dir, ca
     assert "truncated checkpoint header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["method", "config", "arrays", "adam", "history"])
-def test_checkpoint_header_without_a_section_is_data_error(tmp_path, ckpt, data_dir, key, capsys):
+def _blob_size(spec):
+    return np.dtype(spec["dtype"]).itemsize * abs(int(np.prod(spec["shape"])))
+
+
+def _rewritten(ckpt, out, edit):
+    """Write ``ckpt`` to ``out`` with its JSON header replaced by ``edit(header)``.
+
+    Each entry of the new array manifest gets the blob its name had, cut or
+    zero-padded to the size the entry declares, in manifest order. A manifest
+    the edit left unreadable keeps the old blobs.
+    """
     raw = ckpt.read_bytes()
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     meta = json.loads(raw[16:16 + meta_len])
-    del meta[key]
+    blobs, offset = {}, 16 + meta_len
+    for spec in meta["arrays"]:
+        blobs[spec["name"]] = raw[offset:offset + _blob_size(spec)]
+        offset += _blob_size(spec)
+    meta = edit(meta)
+    try:
+        body = b"".join(blobs.get(spec["name"], b"").ljust(_blob_size(spec), b"\0")[:_blob_size(spec)]
+                        for spec in meta["arrays"])
+    except (KeyError, TypeError):
+        body = raw[16 + meta_len:]
     blob = json.dumps(meta).encode()
-    bad = tmp_path / "partial.ckpt"
-    bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + meta_len:])
+    out.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + body)
+    return out
+
+
+@pytest.mark.parametrize("key", ["method", "config", "arrays", "adam", "history", "arch"])
+def test_checkpoint_header_without_a_section_is_data_error(tmp_path, ckpt, data_dir, key, capsys):
+    bad = _rewritten(ckpt, tmp_path / "partial.ckpt", _header((key,), None))
     args = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--K", "4"]
     assert main(args) == 2
     assert key in capsys.readouterr().err
@@ -172,15 +209,77 @@ def _edited(doc, path, value):
 ], ids=["adam-without-lr", "history-without-losses", "array-without-dtype",
         "unknown-dtype", "shape-not-a-list", "unknown-method", "config-unknown-method", "header-is-a-list"])
 def test_malformed_checkpoint_header_is_data_error(tmp_path, ckpt, data_dir, path, value, capsys):
-    raw = ckpt.read_bytes()
-    (meta_len,) = struct.unpack("<Q", raw[8:16])
-    meta = _edited(json.loads(raw[16:16 + meta_len]), path, value)
-    blob = json.dumps(meta).encode()
-    bad = tmp_path / "malformed.ckpt"
-    bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + meta_len:])
+    bad = _rewritten(ckpt, tmp_path / "malformed.ckpt", _header(path, value))
     args = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--K", "4"]
     assert main(args) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def _header(path, value):
+    """A header edit: delete (value None) or replace the entry at ``path``."""
+    return lambda meta: _edited(meta, path, value)
+
+
+def _array(name, key, value):
+    """A header edit of array ``name``'s manifest entry: set ``key``, or drop the entry if key is None."""
+    def edit(meta):
+        i = next(i for i, spec in enumerate(meta["arrays"]) if spec["name"] == name)
+        return _edited(meta, ("arrays", i) + ((key,) if key else ()), value)
+    return edit
+
+
+# id -> (method, header edit, whether the checkpoint is resumed rather than evaluated)
+_MISFIT_CHECKPOINTS = {
+    "param-missing": ("vna", _array("param:visual.conv1.weight", None, None), False),
+    "decoder-weight-1d": ("direct-decode", _array("param:hidden.weight", "shape", [512 * N]), False),
+    "buffer-too-short": ("vna", _array("buffer:visual.bn1.running_mean", "shape", [3]), False),
+    "buffer-broadcast": ("vna", _array("buffer:visual.bn1.running_mean", "shape", [1]), False),
+    "shape-of-floats": ("vna", _array("param:visual.conv1.weight", "shape", [16.0, 1.0, 4.0, 4.0]), False),
+    "shape-negative": ("vna", _array("buffer:visual.bn1.running_var", "shape", [-2, -8]), False),
+    "param-integer-dtype": ("vna", _array("param:visual.conv1.weight", "dtype", "<i8"), False),
+    "moment-missing": ("direct-encode", _array("adam_m:proj.weight", None, None), True),
+    "moment-broadcast": ("direct-encode", _array("adam_m:proj.weight", "shape", [1]), True),
+    "adam-t-a-string": ("direct-encode", _header(("adam", "t"), "4"), True),
+    "adam-lr-a-string": ("direct-encode", _header(("adam", "lr"), "0.01"), True),
+    "adam-eps-a-bool": ("direct-encode", _header(("adam", "eps"), True), True),
+    "arch-zero-neurons": ("vna", _header(("arch", "neurons"), 0), False),
+    "config-d-fractional": ("vna", _header(("config", "d"), 4.5), False),
+    "array-repeated": ("vna", lambda m: _edited(m, ("arrays",), m["arrays"] + m["arrays"][:1]), False),
+    "version-1": ("vna", _header(("schema_version",), 1), False),
+}
+
+
+@pytest.mark.parametrize("method, edit, resume", _MISFIT_CHECKPOINTS.values(), ids=_MISFIT_CHECKPOINTS.keys())
+def test_checkpoint_that_does_not_fit_its_model_is_data_error(
+        tmp_path, ckpts, data_dir, method, edit, resume, capsys):
+    bad = _rewritten(ckpts[method], tmp_path / "misfit.ckpt", edit)
+    if resume:
+        args = _train_args(data_dir, tmp_path / "resumed.ckpt", method=method, epochs="4")
+        args += ["--resume", str(bad)]
+    else:
+        args = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--K", "4"]
+    assert main(args) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_is_data_error_or_loads(tmp_path_factory, ckpt, data):
+    """A truncated checkpoint, or one with a byte replaced, fails cleanly or loads."""
+    raw = ckpt.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    # half the draws land in the magic, length and header, where the checks are
+    offset = data.draw(st.one_of(st.integers(0, 16 + meta_len), st.integers(0, len(raw) - 1)))
+    if data.draw(st.booleans()):
+        fuzzed = raw[:offset]
+    else:
+        fuzzed = raw[:offset] + bytes([data.draw(st.integers(0, 255))]) + raw[offset + 1:]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+    path.write_bytes(fuzzed)
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass
 
 
 @pytest.mark.parametrize("file, path, value", [

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crossalign import tensor as T
 from crossalign.encoders import (
@@ -12,57 +10,11 @@ from crossalign.encoders import (
     init_params,
     make_conv_tower,
     make_spike_encoder,
-    resize_image,
     spike_encode,
     visual_encode,
     visual_feature_map,
 )
 from crossalign.tensor import Tensor
-
-
-class TestResizeImage:
-    def test_64x64_is_identity_bit_for_bit(self):
-        rng = np.random.default_rng(0)
-        img = rng.uniform(0, 1, (3, 64, 64))
-        out = resize_image(img)
-        assert out is img or np.array_equal(out, img)
-        # same object back means no copy was made, which is the stronger claim
-        assert resize_image(img) is img
-
-    def test_constant_image_stays_constant(self):
-        for h, w in [(10, 10), (3, 200), (64, 31)]:
-            img = np.full((1, h, w), 0.7)
-            out = resize_image(img)
-            assert out.shape == (1, 64, 64)
-            np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-12)
-
-    def test_2x2_upsample_to_4(self):
-        img = np.array([[0.0, 1.0], [0.0, 1.0]])[None]
-        out = resize_image(img, out_size=4)
-        # corner-aligned abscissae hit 0, 1/3, 2/3, 1 along each row
-        expected_row = np.array([0.0, 1 / 3, 2 / 3, 1.0])
-        for r in range(4):
-            np.testing.assert_allclose(out[0, r], expected_row, atol=1e-12)
-        assert np.all(np.diff(out[0], axis=1) >= 0)
-
-    def test_zero_sized_rejected(self):
-        with pytest.raises(ValueError):
-            resize_image(np.zeros((1, 0, 5)))
-        with pytest.raises(ValueError):
-            resize_image(np.zeros((5, 5)))
-
-    @given(
-        h=st.integers(min_value=1, max_value=90),
-        w=st.integers(min_value=1, max_value=90),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_output_stays_in_unit_range(self, h, w, seed):
-        rng = np.random.default_rng(seed)
-        img = rng.uniform(0, 1, (1, h, w))
-        out = resize_image(img)
-        assert out.shape == (1, 64, 64)
-        assert out.min() >= -1e-12 and out.max() <= 1 + 1e-12
 
 
 class TestShapes:
